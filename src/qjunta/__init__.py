@@ -17,6 +17,7 @@ from .boolfn import (
     TruthTable,
     anf_from_truth_table,
     count_ones,
+    derivative,
     evaluate,
     format_anf,
     format_truth_table,
@@ -31,7 +32,6 @@ from .boolfn import (
 )
 from .entangle import PureTwoQubit, concurrence_pure, concurrence_wootters, effective_concurrence
 from .junta import (
-    CircuitRun,
     JuntaVerdict,
     ProbeResult,
     Verdict,
@@ -46,7 +46,6 @@ from .learner import (
     LearnedTerm,
     SameTermSet,
     categorize,
-    derivative,
     learn_single_term,
     same_term_variables,
     solution_count_candidates,
@@ -74,7 +73,6 @@ __all__ = [
     "BitOracle",
     "Category",
     "CategoryVerdict",
-    "CircuitRun",
     "DerivativeOracle",
     "InfluenceReport",
     "JuntaVerdict",

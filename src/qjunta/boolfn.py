@@ -210,8 +210,9 @@ def format_anf(f: AnfFunction) -> str:
 
 # --- evaluation --------------------------------------------------------------
 
-def evaluate(f: Union[AnfFunction, TruthTable], x: int) -> int:
-    """Evaluate ``f`` at input index ``x`` (bit ``i`` of ``x`` is ``x_i``)."""
+def evaluate(f: Evaluator, x: int) -> int:
+    """Evaluate ``f`` at input index ``x`` (bit ``i`` of ``x`` is ``x_i``);
+    a plain callable is queried once as a black box."""
     if isinstance(f, TruthTable):
         if not 0 <= x < (1 << f.n):
             raise ValueError(f"input {x} out of range for n={f.n}")
@@ -224,14 +225,9 @@ def evaluate(f: Union[AnfFunction, TruthTable], x: int) -> int:
             if all((x >> i) & 1 for i in term):
                 out ^= 1
         return out
+    if callable(f):
+        return int(f(x)) & 1
     raise TypeError(f"cannot evaluate object of type {type(f).__name__}")
-
-
-def query(f: Evaluator, x: int) -> int:
-    """Single black-box query; accepts plain callables as well."""
-    if isinstance(f, (AnfFunction, TruthTable)):
-        return evaluate(f, x)
-    return int(f(x)) & 1
 
 
 def function_values(f: Union[Evaluator, np.ndarray], n: int) -> np.ndarray:
@@ -254,6 +250,8 @@ def function_values(f: Union[Evaluator, np.ndarray], n: int) -> np.ndarray:
         if f.shape != (size,):
             raise ValueError(f"value array has shape {f.shape}, expected ({size},)")
         return np.asarray(f, dtype=np.uint8)
+    if n > MAX_TABLE_VARS:
+        raise ValueError(f"n={n} exceeds the dense-table cap of {MAX_TABLE_VARS}")
     out = np.fromiter((int(f(x)) & 1 for x in range(size)), dtype=np.uint8, count=size)
     out.setflags(write=False)
     return out
@@ -312,6 +310,11 @@ def xor_functions(f: AnfFunction, g: AnfFunction) -> AnfFunction:
     return AnfFunction(f.n, f.terms ^ g.terms)
 
 
+def derivative(f: AnfFunction, i: int) -> AnfFunction:
+    """ANF of ``f(x) ^ f(x XOR e_i)``; never contains ``x_i``."""
+    return xor_functions(f, negate_variable(f, i))
+
+
 # --- exhaustive analyses ------------------------------------------------------
 
 def influence_report(f: Union[TruthTable, AnfFunction], i: int) -> InfluenceReport:
@@ -345,8 +348,8 @@ def linearity_probe(f: Evaluator, i: int) -> LinearityProbe:
     """
     if isinstance(f, (AnfFunction, TruthTable)) and not 0 <= i < f.n:
         raise ValueError(f"variable index {i} out of range for n={f.n}")
-    v0 = query(f, 0)
-    v1 = query(f, 1 << i)
+    v0 = evaluate(f, 0)
+    v1 = evaluate(f, 1 << i)
     return LinearityProbe(constant_term_present=v0, linear_term_present=v0 != v1)
 
 
@@ -357,15 +360,12 @@ def count_ones(f: TruthTable) -> int:
 
 def same_term_variables_brute(f: AnfFunction, i: int) -> set[int]:
     """Ground-truth partner set for ``x_i``: indices with nonzero influence on
-    ``g = f XOR f(.., 1 XOR x_i, ..)``.
+    the :func:`derivative` ``g = f XOR f(.., 1 XOR x_i, ..)``.
 
     ``g`` collects exactly the decompositions of terms containing ``x_i``, and
     is independent of ``x_i`` itself, so ``i`` never appears in the result.
     """
-    if not 0 <= i < f.n:
-        raise ValueError(f"variable index {i} out of range for n={f.n}")
-    g = xor_functions(f, negate_variable(f, i))
-    table = to_truth_table(g)
+    table = to_truth_table(derivative(f, i))
     return {j for j in range(f.n) if influence_report(table, j).nu1 > 0}
 
 

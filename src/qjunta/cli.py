@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto the library: ``test-junta``, ``same-term``,
-``categorize``, ``count-solutions``, ``influence``, ``learn-term``.  Functions
-are given either as an ANF expression (``--anf "x0&x1 ^ x2" --n 3``) or as a
-truth-table file (``--truth-table PATH``; line 1 is n, line 2 the 2^n bits).
+``categorize`` (alias ``count-solutions``), ``influence``, ``learn-term``.
+Functions are given either as an ANF expression (``--anf "x0&x1 ^ x2" --n 3``)
+or as a truth-table file (``--truth-table PATH``; line 1 is n, line 2 the 2^n
+bits).
 
 Reports are printed to stdout as flat ``key: value`` text or as JSON
 (``--output json``); both carry identical numeric values, rounded to 10
@@ -28,8 +29,6 @@ from .boolfn import AnfFunction, TruthTable
 from .junta import JuntaVerdict, junta_variable_test
 from .learner import CategoryVerdict
 from .qsim import PRNG_NAME
-
-COMMANDS = ("test-junta", "same-term", "categorize", "count-solutions", "influence", "learn-term")
 
 
 def _round10(x: float) -> float:
@@ -81,9 +80,9 @@ def _verdict_payload(v: JuntaVerdict) -> dict:
     return {
         "verdict": v.verdict.value,
         "variable": v.variable,
-        "p1": _maybe_round(v.p1) if v.p1 is not None else None,
-        "c_effective": _maybe_round(v.c_effective) if v.c_effective is not None else None,
-        "c_wootters": _maybe_round(v.c_wootters) if v.c_wootters is not None else None,
+        "p1": _maybe_round(v.p1),
+        "c_effective": _maybe_round(v.c_effective),
+        "c_wootters": _maybe_round(v.c_wootters),
         "constant_term_present": v.constant_term_present,
         "zeros": v.zeros,
         "ones": v.ones,
@@ -213,10 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="test one variable for the junta property")
     sub.add_parser("same-term", parents=[common, var],
                    help="find the variables sharing a product term with --var")
-    sub.add_parser("categorize", parents=[common],
-                   help="classify the function as constant, balanced, or other")
-    sub.add_parser("count-solutions", parents=[common],
-                   help="recover the candidate satisfying-input counts")
+    sub.add_parser("categorize", parents=[common], aliases=["count-solutions"],
+                   help="classify the function as constant, balanced, or other, "
+                        "and recover the candidate satisfying-input counts")
     sub.add_parser("influence", parents=[common, var],
                    help="brute-force influence report for one variable")
     sub.add_parser("learn-term", parents=[common],

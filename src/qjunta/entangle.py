@@ -19,9 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .qsim import TwoQubitDensity
-
-NORM_ATOL = 1e-9
+from .qsim import NORM_ATOL, TwoQubitDensity
 
 # Eigenvalues of the spin-flipped product more negative than this are an
 # input error; anything smaller in magnitude than EIG_FLOOR is solver noise

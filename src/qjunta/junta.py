@@ -26,11 +26,10 @@ numbers are always reported so the discrepancy stays visible.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import qsim
+from . import boolfn, qsim
 from .entangle import concurrence_wootters, effective_concurrence
 from .qsim import StateVector, TwoQubitDensity
 
@@ -45,17 +44,8 @@ class Verdict(enum.Enum):
 
 
 class ProbeResult(NamedTuple):
-    """Entangling-probe output: post-CNOT state, reduced pair, both measures."""
-
-    state: StateVector
-    density: TwoQubitDensity
-    c_effective: float
-    c_wootters: float
-
-
-@dataclass(frozen=True)
-class CircuitRun:
-    """Diagnostics of one influence-circuit execution for one variable."""
+    """Entangling-probe output: post-CNOT state, reduced pair, the tested
+    qubit's population ``p1`` and both entanglement measures."""
 
     state: StateVector
     density: TwoQubitDensity
@@ -90,7 +80,8 @@ class JuntaVerdict:
     ones: int | None = None
 
 
-def _check_mode(mode: str, shots: int | None, seed: int | None) -> None:
+def check_mode(mode: str, shots: int | None, seed: int | None) -> None:
+    """Reject an unknown mode, and sampled mode without shots or a seed."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
     if mode == "sampled":
@@ -98,14 +89,6 @@ def _check_mode(mode: str, shots: int | None, seed: int | None) -> None:
             raise ValueError(f"sampled mode needs shots >= 1, got {shots!r}")
         if seed is None:
             raise ValueError("sampled mode needs an explicit seed")
-
-
-def population_concurrence(p0: float, p1: float) -> float:
-    """Effective concurrence from an unnormalized population pair."""
-    total = p0 + p1
-    if total <= 0.0:
-        raise ValueError("populations sum to zero")
-    return min(1.0, 2.0 * math.sqrt(p0 * p1) / total)
 
 
 def entangling_probe(state: StateVector, tested: int, aux: int) -> ProbeResult:
@@ -120,11 +103,24 @@ def entangling_probe(state: StateVector, tested: int, aux: int) -> ProbeResult:
         raise ValueError(f"auxiliary qubit {aux} is not in |1>")
     after = qsim.apply_cnot(state, control=tested, target=aux)
     density = qsim.reduced_density_two_qubits(after, tested, aux)
-    c_eff = population_concurrence(*qsim.prob_pair(after, tested))
-    return ProbeResult(after, density, c_eff, concurrence_wootters(density))
+    p1 = qsim.prob_one(after, tested)
+    return ProbeResult(after, density, p1, effective_concurrence(p1), concurrence_wootters(density))
 
 
-def influence_circuit(f, n: int, i: int) -> CircuitRun:
+def read_probe(
+    probe: ProbeResult, tested: int, mode: str, shots: int | None, seed: int | None
+) -> tuple[float, float, int | None, int | None]:
+    """The decision statistics ``(p1, c_effective, zeros, ones)`` of a probe:
+    its own numbers in exact mode, else from ``shots`` measurements of the
+    tested qubit, with ``p1 = ones/shots``."""
+    if mode == "exact":
+        return probe.p1, probe.c_effective, None, None
+    zeros, ones = qsim.sample_counts(probe.state, tested, shots, seed)
+    p1 = ones / shots
+    return p1, effective_concurrence(p1), zeros, ones
+
+
+def influence_circuit(f, n: int, i: int) -> ProbeResult:
     """Run the influence circuit plus entangling probe for variable ``i``.
 
     This is the quantum stage on its own, with no classical linearity gate;
@@ -137,9 +133,7 @@ def influence_circuit(f, n: int, i: int) -> CircuitRun:
     state = qsim.apply_hadamard_layer(state, range(n + 1))
     state = oracle.apply(state, target=n)
     state = qsim.apply_hadamard_layer(state, range(n + 1))
-    probe = entangling_probe(state, tested=i, aux=n + 1)
-    p0, p1 = qsim.prob_pair(probe.state, i)
-    return CircuitRun(probe.state, probe.density, p1 / (p0 + p1), probe.c_effective, probe.c_wootters)
+    return entangling_probe(state, tested=i, aux=n + 1)
 
 
 def junta_variable_test(
@@ -157,21 +151,20 @@ def junta_variable_test(
     ones; populations below roughly ``1/shots`` can then be missed, which is
     inherent to any finite-shot tester.
     """
-    _check_mode(mode, shots, seed)
+    check_mode(mode, shots, seed)
     oracle = qsim.as_oracle(f, n)
     if not 0 <= i < n:
         raise ValueError(f"variable index {i} out of range for n={n}")
 
-    v0 = oracle.query(0)
-    v1 = oracle.query(1 << i)
-    if v0 != v1:
+    gate = boolfn.linearity_probe(oracle.query, i)
+    if gate.linear_term_present:
         return JuntaVerdict(
             verdict=Verdict.NOT_JUNTA_LINEAR,
             variable=i,
             p1=None,
             c_effective=None,
             c_wootters=None,
-            constant_term_present=v0,
+            constant_term_present=gate.constant_term_present,
             oracle_calls_quantum=0,
             oracle_calls_classical=2,
             mode=mode,
@@ -179,24 +172,16 @@ def junta_variable_test(
             seed=seed,
         )
 
-    run = influence_circuit(oracle, n, i)
-    if mode == "exact":
-        p1 = run.p1
-        c_eff = run.c_effective
-        zeros = ones = None
-        is_junta = p1 <= EPSILON_ZERO
-    else:
-        zeros, ones = qsim.sample_counts(run.state, i, shots, seed)
-        p1 = ones / shots
-        c_eff = effective_concurrence(p1)
-        is_junta = ones == 0
+    probe = influence_circuit(oracle, n, i)
+    p1, c_eff, zeros, ones = read_probe(probe, i, mode, shots, seed)
+    is_junta = p1 <= EPSILON_ZERO if mode == "exact" else ones == 0
     return JuntaVerdict(
         verdict=Verdict.JUNTA if is_junta else Verdict.NOT_JUNTA,
         variable=i,
         p1=p1,
         c_effective=c_eff,
-        c_wootters=run.c_wootters,
-        constant_term_present=v0,
+        c_wootters=probe.c_wootters,
+        constant_term_present=gate.constant_term_present,
         oracle_calls_quantum=1,
         oracle_calls_classical=2,
         mode=mode,

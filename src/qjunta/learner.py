@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 from . import qsim
-from .boolfn import AnfFunction, negate_variable, xor_functions
-from .entangle import effective_concurrence
-from .junta import EPSILON_ZERO, JuntaVerdict, Verdict, _check_mode, entangling_probe, junta_variable_test
+from .junta import (
+    EPSILON_ZERO, JuntaVerdict, Verdict, check_mode, entangling_probe, junta_variable_test, read_probe,
+)
 from .qsim import DerivativeOracle
 
 # Threshold note attached to every category verdict; the balanced threshold
@@ -102,11 +102,6 @@ class CategoryVerdict:
     note: str = BALANCED_THRESHOLD_NOTE
 
 
-def derivative(f: AnfFunction, i: int) -> AnfFunction:
-    """ANF of ``f(x) ^ f(x XOR e_i)``; never contains ``x_i``."""
-    return xor_functions(f, negate_variable(f, i))
-
-
 def same_term_variables(
     f,
     n: int,
@@ -125,7 +120,7 @@ def same_term_variables(
 
     In sampled mode the derivative tests use seeds ``seed + t + 1``.
     """
-    _check_mode(mode, shots, seed)
+    check_mode(mode, shots, seed)
     oracle = qsim.as_oracle(f, n)
     initial = junta_variable_test(oracle, n, i, mode=mode, shots=shots, seed=seed)
     quantum = initial.oracle_calls_quantum
@@ -176,7 +171,7 @@ def learn_single_term(
     same-term partners; if every variable is junta the function is constant
     and one classical query reads the value.
     """
-    _check_mode(mode, shots, seed)
+    check_mode(mode, shots, seed)
     oracle = qsim.as_oracle(f, n)
     quantum = classical = 0
     first_hit: JuntaVerdict | None = None
@@ -229,7 +224,7 @@ def categorize(
     ``(n, n+1)``.  Constant functions are disambiguated (0 vs 1) with one
     classical query.
     """
-    _check_mode(mode, shots, seed)
+    check_mode(mode, shots, seed)
     oracle = qsim.as_oracle(f, n)
     size = 1 << n
 
@@ -238,16 +233,7 @@ def categorize(
     state = oracle.apply(state, target=n)
     state = qsim.apply_hadamard_layer(state, range(n))
     probe = entangling_probe(state, tested=n, aux=n + 1)
-
-    if mode == "exact":
-        pops = qsim.prob_pair(probe.state, n)
-        p1 = pops[1] / (pops[0] + pops[1])
-        c_eff = probe.c_effective
-        zeros = ones = None
-    else:
-        zeros, ones = qsim.sample_counts(probe.state, n, shots, seed)
-        p1 = ones / shots
-        c_eff = effective_concurrence(p1)
+    p1, c_eff, zeros, ones = read_probe(probe, n, mode, shots, seed)
 
     classical = 0
     constant_value = None

@@ -3,7 +3,8 @@
 Exactly the gate set the oracle circuits need: Hadamard layers, X, CNOT,
 the XOR-into-target bit oracle, the sign-flip phase oracle, and the
 two-application derivative composite.  Plus two-qubit reduced density
-matrices and seeded measurement sampling.
+matrices and seeded measurement sampling.  There is no generic matrix gate:
+H, the only gate that is not a permutation or a sign flip, runs as butterflies.
 
 Conventions:
 
@@ -34,8 +35,6 @@ DENSITY_ATOL = 1e-9
 
 # PRNG behind sample_counts, recorded in run metadata for reproducibility.
 PRNG_NAME = "pcg64"
-
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,23 +96,24 @@ def new_state(num_qubits: int, basis: int = 0) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def _apply_single_qubit(amps: np.ndarray, num_qubits: int, qubit: int, matrix: np.ndarray) -> np.ndarray:
-    # Axis q-1-k of the reshaped tensor corresponds to qubit k (C order).
-    tensor = amps.reshape((2,) * num_qubits)
-    axis = num_qubits - 1 - qubit
-    tensor = np.moveaxis(tensor, axis, -1) @ matrix.T
-    return np.moveaxis(tensor, -1, axis).reshape(-1)
-
-
 def apply_hadamard_layer(state: StateVector, qubits: Iterable[int]) -> StateVector:
-    """Apply H to each listed qubit (indices must be distinct)."""
+    """Apply H to each listed qubit (indices must be distinct).
+
+    One in-place butterfly ``(a, b) -> (a + b, a - b)`` per qubit, then a
+    single scaling by ``2^(-k/2)``: exact on dyadic amplitudes for even ``k``.
+    """
     targets = list(qubits)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate qubit in {targets}")
-    amps = state.amplitudes
     for qubit in targets:
         _check_qubit(state, qubit)
-        amps = _apply_single_qubit(amps, state.num_qubits, qubit, _H)
+    amps = state.amplitudes.copy()
+    for qubit in targets:
+        pairs = amps.reshape(-1, 2, 1 << qubit)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(low, pairs[:, 1], out=pairs[:, 1])
+    amps *= 2.0 ** (-len(targets) / 2)
     return StateVector(state.num_qubits, amps)
 
 
@@ -204,28 +204,12 @@ def reduced_density_two_qubits(state: StateVector, a: int, b: int) -> TwoQubitDe
 
 
 def prob_one(state: StateVector, qubit: int) -> float:
-    """Probability of reading 1 on ``qubit``; clipped into [0, 1]."""
+    """Probability of reading 1 on ``qubit``, as ``p1 / (p0 + p1)``: immune to
+    the state's norm rounding (about 1e-15 after a long circuit), in [0, 1]."""
     _check_qubit(state, qubit)
-    idx = np.arange(state.amplitudes.size)
-    mask = (idx >> qubit) & 1 == 1
-    p = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
-    return min(1.0, max(0.0, p))
-
-
-def prob_pair(state: StateVector, qubit: int) -> tuple[float, float]:
-    """Both readout populations of ``qubit``, summed independently.
-
-    Unlike ``1 - prob_one(...)``, the zero population is not polluted by the
-    state's accumulated norm rounding (about 1e-15 after a long circuit), so
-    ratios built from the pair stay accurate even when one side is
-    vanishingly small.  The pair sums to the squared norm, not exactly 1.
-    """
-    _check_qubit(state, qubit)
-    idx = np.arange(state.amplitudes.size)
-    mask = (idx >> qubit) & 1 == 1
-    p1 = float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
-    p0 = float(np.sum(np.abs(state.amplitudes[~mask]) ** 2))
-    return max(0.0, p0), max(0.0, p1)
+    pops = np.sum(np.abs(state.amplitudes.reshape(-1, 2, 1 << qubit)) ** 2, axis=(0, 2))
+    p0, p1 = float(pops[0]), float(pops[1])
+    return p1 / (p0 + p1)
 
 
 def sample_counts(state: StateVector, qubit: int, shots: int, seed: int) -> tuple[int, int]:
@@ -256,6 +240,8 @@ class BitOracle:
     def __init__(self, f: Evaluator, num_inputs: int):
         if num_inputs <= 0:
             raise ValueError(f"variable count must be positive, got {num_inputs}")
+        if num_inputs > boolfn.MAX_TABLE_VARS:
+            raise ValueError(f"n={num_inputs} exceeds the dense-table cap of {boolfn.MAX_TABLE_VARS}")
         if isinstance(f, (boolfn.AnfFunction, boolfn.TruthTable)) and f.n != num_inputs:
             raise ValueError(f"function has n={f.n}, expected {num_inputs}")
         self.func = f
@@ -269,7 +255,7 @@ class BitOracle:
         return self._values
 
     def query(self, x: int) -> int:
-        return boolfn.query(self.func, x)
+        return boolfn.evaluate(self.func, x)
 
     def apply(self, state: StateVector, target: int) -> StateVector:
         return apply_bit_oracle(state, self.values, self.num_inputs, target)
@@ -278,7 +264,8 @@ class BitOracle:
 class DerivativeOracle(BitOracle):
     """Composite computing ``f(x) XOR f(x XOR e_i)`` from two copies of the
     base oracle; one application costs 2 base applications, one classical
-    query costs 2 base queries."""
+    query costs 2 base queries.  Simulated as one gather over the derivative's
+    own table, equal to the circuit of :func:`apply_derivative_oracle`."""
 
     applications_per_call = 2
     queries_per_call = 2
@@ -302,9 +289,6 @@ class DerivativeOracle(BitOracle):
 
     def query(self, x: int) -> int:
         return self.base.query(x) ^ self.base.query(x ^ (1 << self.i))
-
-    def apply(self, state: StateVector, target: int) -> StateVector:
-        return apply_derivative_oracle(state, self.base.values, self.num_inputs, self.i, target)
 
 
 def as_oracle(f, num_inputs: int) -> BitOracle:

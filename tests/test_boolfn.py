@@ -93,6 +93,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(to_truth_table(anf("x0", 1)), -1)
 
+    def test_plain_callable(self):
+        assert evaluate(lambda x: x >> 1, 3) == 1
+        assert evaluate(lambda x: 2, 0) == 0  # only the low bit counts
+        with pytest.raises(TypeError):
+            evaluate(3, 0)
+
 
 class TestTruthTable:
     def test_product_table(self):

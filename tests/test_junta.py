@@ -1,9 +1,12 @@
 """The junta decision procedure: probe, circuit, verdicts, call accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qjunta import (
+    BitOracle,
     TruthTable,
     Verdict,
     anf_from_truth_table,
@@ -17,6 +20,8 @@ from qjunta import (
     parse_anf,
     to_truth_table,
 )
+from qjunta.boolfn import MAX_TABLE_VARS, function_values
+from qjunta.junta import EPSILON_ZERO
 from helpers import random_anf, random_truth_table
 
 
@@ -97,6 +102,10 @@ class TestVerdicts:
         with pytest.raises(ValueError):
             junta_variable_test(parse_anf("x0", 1), 1, 1)
 
+    def test_zero_threshold_below_smallest_influence_at_cap(self):
+        # a nonzero influence of an n-variable function is at least 2/2^n
+        assert EPSILON_ZERO < 2 / 2**MAX_TABLE_VARS
+
     def test_exhaustive_small_tables(self):
         # every 3-variable function, every variable: the verdict must match
         # the brute-force flip count, and the linear exit must fire exactly
@@ -126,6 +135,31 @@ class TestBlackBoxInputs:
                 for f in (f_anf, table, as_callable)
             }
             assert len(verdicts) == 1
+
+    def test_oversized_black_box_rejected_before_any_work(self):
+        # the message names the caller's n, not the circuit's n + 2 qubits,
+        # and the black box is neither queried nor tabulated
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 0
+
+        n = MAX_TABLE_VARS + 1
+        message = f"^n={n} exceeds the dense-table cap of {MAX_TABLE_VARS}$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                junta_variable_test(f, n, 0)
+            with pytest.raises(ValueError, match=message):
+                BitOracle(f, n)
+            with pytest.raises(ValueError, match=message):
+                function_values(f, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 1 << 20
 
 
 class TestCallAccounting:

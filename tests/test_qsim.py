@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qjunta import (
     BitOracle,
@@ -25,6 +28,21 @@ from qjunta import (
 from helpers import random_anf, random_state
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+DENSE_H = np.array([[1.0, 1.0], [1.0, -1.0]]) * INV_SQRT2
+
+
+@st.composite
+def states_and_qubits(draw):
+    """A random normalized state on at most 6 qubits and a random ordered
+    subset of its qubits."""
+    q = draw(st.integers(1, 6))
+    parts = draw(arrays(np.float64, (2, 1 << q), elements=st.floats(-1.0, 1.0, width=64)))
+    amps = parts[0] + 1j * parts[1]
+    norm = np.linalg.norm(amps)
+    if norm < 1e-3:
+        amps, norm = np.eye(1 << q, dtype=complex)[0], 1.0
+    qubits = draw(st.lists(st.integers(0, q - 1), unique=True))
+    return StateVector(q, amps / norm), qubits
 
 
 def assert_state(state: StateVector, expected, atol=1e-12):
@@ -58,6 +76,17 @@ class TestHadamard:
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ValueError):
             apply_hadamard_layer(new_state(2), [0, 0])
+
+    @settings(deadline=None)
+    @given(states_and_qubits())
+    def test_matches_dense_kron_operator(self, case):
+        state, qubits = case
+        # qubit 0 is the least significant bit, so it is the last kron factor
+        operator = np.ones((1, 1))
+        for k in reversed(range(state.num_qubits)):
+            operator = np.kron(operator, DENSE_H if k in qubits else np.eye(2))
+        out = apply_hadamard_layer(state, qubits)
+        np.testing.assert_allclose(out.amplitudes, operator @ state.amplitudes, atol=1e-12)
 
 
 class TestPermutationGates:
@@ -208,6 +237,16 @@ class TestProbOne:
         assert prob_one(plus, 0) == pytest.approx(0.5)
         assert prob_one(new_state(1, 1), 0) == 1.0
 
+    @settings(deadline=None)
+    @given(states_and_qubits(), st.integers(0, 5))
+    def test_matches_masked_brute_force_sum(self, case, pick):
+        state, _ = case
+        qubit = pick % state.num_qubits
+        ones = sum(
+            abs(a) ** 2 for b, a in enumerate(state.amplitudes) if (b >> qubit) & 1
+        )
+        assert prob_one(state, qubit) == pytest.approx(ones, abs=1e-12)
+
     def test_clipped_to_unit_interval(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
@@ -277,5 +316,10 @@ class TestOracleWrappers:
         np.testing.assert_allclose(
             deriv.apply(state, 3).amplitudes,
             apply_bit_oracle(state, table, 3, 3).amplitudes,
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            deriv.apply(state, 3).amplitudes,
+            apply_derivative_oracle(state, f, 3, 1, 3).amplitudes,
             atol=1e-12,
         )
