@@ -63,6 +63,7 @@ from .qsim import (
     apply_x,
     new_state,
     prob_one,
+    qubit_density,
     reduced_density_two_qubits,
     sample_counts,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "parse_anf",
     "parse_truth_table",
     "prob_one",
+    "qubit_density",
     "reduced_density_two_qubits",
     "same_term_variables",
     "same_term_variables_brute",

@@ -7,14 +7,16 @@ The test for variable ``x_i`` of an n-input black box runs in three stages:
    no circuit runs.  This catches the one case the circuit is blind to: a
    variable appearing only linearly drives the tested qubit all the way to
    |1>, which is again a product state.
-2. *Influence circuit* (quantum, 1 oracle application): prepare
-   ``|0>^n (x) |1> (x) |1>`` on ``n+2`` qubits, apply H to the first ``n+1``
-   qubits, apply the bit oracle with qubit ``n`` as the phase-kickback
-   target, apply H to the first ``n+1`` qubits again.  Qubit ``i`` then
-   carries the variable's influence as its excitation probability:
-   ``p1 = nu1 / 2^n`` exactly.
-3. *Entangling probe*: CNOT from qubit ``i`` onto the auxiliary qubit
-   ``n+1`` (prepared in |1>), then measure the entanglement of the pair.
+2. *Influence circuit* (quantum, 1 oracle application): H on ``|0>^n``, the
+   phase oracle ``(-1)^f(x)``, H again; qubit ``i`` then reads 1 with
+   probability ``p1 = nu1 / 2^n``, the variable's influence.  The paper's
+   bit oracle targets a ``|->`` kickback qubit, which stays ``|->`` and
+   leaves exactly that phase, so only the n-qubit register is simulated.
+3. *Entangling probe*: CNOT from qubit ``i`` onto a |1> auxiliary, then
+   measure the pair's entanglement.  The pair is formed in closed form: the
+   auxiliary is a |1> product factor before the CNOT, which sends qubit
+   ``i``'s |0>, |1> to |01>, |10>, so the pair's density is exactly qubit
+   ``i``'s 2x2 density on those two basis states.
 
 The verdict statistic is the population ``p1`` (equivalently the effective
 concurrence ``2*sqrt(p1(1-p1))``), not the Wootters concurrence of the
@@ -28,6 +30,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from . import boolfn, qsim
 from .entangle import concurrence_wootters, effective_concurrence
@@ -44,8 +48,8 @@ class Verdict(enum.Enum):
 
 
 class ProbeResult(NamedTuple):
-    """Entangling-probe output: post-CNOT state, reduced pair, the tested
-    qubit's population ``p1`` and both entanglement measures."""
+    """Entangling-probe output: the register it read, the (tested, auxiliary)
+    pair, the tested qubit's population ``p1`` and both entanglement measures."""
 
     state: StateVector
     density: TwoQubitDensity
@@ -91,20 +95,16 @@ def check_mode(mode: str, shots: int | None, seed: int | None) -> None:
             raise ValueError("sampled mode needs an explicit seed")
 
 
-def entangling_probe(state: StateVector, tested: int, aux: int) -> ProbeResult:
-    """CNOT from ``tested`` onto the |1> auxiliary, then quantify the pair.
+def entangling_probe(state: StateVector, tested: int) -> ProbeResult:
+    """CNOT from ``tested`` onto a fresh |1> auxiliary, then quantify the pair.
 
-    Requires the auxiliary to be an unentangled |1> factor, which is checked
-    through its reduced state (population 1 pins the whole 2x2 density).
+    No auxiliary is simulated: as a |1> product factor before the CNOT it
+    makes the pair's density the tested qubit's 2x2 density on |01>, |10>.
     """
-    if tested == aux:
-        raise ValueError(f"tested and auxiliary qubit coincide: {tested}")
-    if abs(qsim.prob_one(state, aux) - 1.0) > 1e-9:
-        raise ValueError(f"auxiliary qubit {aux} is not in |1>")
-    after = qsim.apply_cnot(state, control=tested, target=aux)
-    density = qsim.reduced_density_two_qubits(after, tested, aux)
-    p1 = qsim.prob_one(after, tested)
-    return ProbeResult(after, density, p1, effective_concurrence(p1), concurrence_wootters(density))
+    rho = qsim.qubit_density(state, tested)
+    density = TwoQubitDensity(np.pad(rho, 1))  # rho on rows and columns |01>, |10>
+    p1 = float(rho[1, 1].real)
+    return ProbeResult(state, density, p1, effective_concurrence(p1), concurrence_wootters(density))
 
 
 def read_probe(
@@ -129,11 +129,11 @@ def influence_circuit(f, n: int, i: int) -> ProbeResult:
     oracle = qsim.as_oracle(f, n)
     if not 0 <= i < n:
         raise ValueError(f"variable index {i} out of range for n={n}")
-    state = qsim.new_state(n + 2, basis=(1 << n) | (1 << (n + 1)))
-    state = qsim.apply_hadamard_layer(state, range(n + 1))
-    state = oracle.apply(state, target=n)
-    state = qsim.apply_hadamard_layer(state, range(n + 1))
-    return entangling_probe(state, tested=i, aux=n + 1)
+    state = qsim.new_state(n)
+    state = qsim.apply_hadamard_layer(state, range(n))
+    state = qsim.apply_phase_oracle(state, oracle.values, n)
+    state = qsim.apply_hadamard_layer(state, range(n))
+    return entangling_probe(state, tested=i)
 
 
 def junta_variable_test(

@@ -218,21 +218,21 @@ def categorize(
 ) -> CategoryVerdict:
     """Classify the black box as constant, balanced, or of other form.
 
-    One oracle application: prepare ``|0>^(n+1) (x) |1>``, apply H to the
-    first ``n`` qubits, record the oracle into qubit ``n``, apply H to the
-    first ``n`` qubits again, then run the entangling probe on the pair
-    ``(n, n+1)``.  Constant functions are disambiguated (0 vs 1) with one
-    classical query.
+    One oracle application on ``|0>^(n+1)``: H on the first ``n`` qubits,
+    the oracle recorded into qubit ``n``, H again, then the entangling probe
+    on qubit ``n``, whose |1> auxiliary is formed in closed form (exact: it
+    is a product factor before the CNOT).  Constant functions are
+    disambiguated (0 vs 1) with one classical query.
     """
     check_mode(mode, shots, seed)
     oracle = qsim.as_oracle(f, n)
     size = 1 << n
 
-    state = qsim.new_state(n + 2, basis=1 << (n + 1))
+    state = qsim.new_state(n + 1)
     state = qsim.apply_hadamard_layer(state, range(n))
-    state = oracle.apply(state, target=n)
+    state = qsim.apply_bit_oracle(state, oracle.values, n, target=n)
     state = qsim.apply_hadamard_layer(state, range(n))
-    probe = entangling_probe(state, tested=n, aux=n + 1)
+    probe = entangling_probe(state, tested=n)
     p1, c_eff, zeros, ones = read_probe(probe, n, mode, shots, seed)
 
     classical = 0

@@ -2,8 +2,8 @@
 
 Exactly the gate set the oracle circuits need: Hadamard layers, X, CNOT,
 the XOR-into-target bit oracle, the sign-flip phase oracle, and the
-two-application derivative composite.  Plus two-qubit reduced density
-matrices and seeded measurement sampling.  There is no generic matrix gate:
+two-application derivative composite.  Plus one- and two-qubit reduced
+densities and seeded measurement sampling.  There is no generic matrix gate:
 H, the only gate that is not a permutation or a sign flip, runs as butterflies.
 
 Conventions:
@@ -26,9 +26,9 @@ import numpy as np
 from . import boolfn
 from .boolfn import Evaluator
 
-# Dense amplitude arrays are capped; brute-force verification at desk scale
-# does not need more, and the classical oracles share the same cap.
-MAX_QUBITS = 26
+# Dense amplitude arrays are capped at the widest circuit the pipeline runs:
+# categorization's n-qubit register plus its recording qubit, at the table cap.
+MAX_QUBITS = boolfn.MAX_TABLE_VARS + 1
 
 NORM_ATOL = 1e-9
 DENSITY_ATOL = 1e-9
@@ -165,8 +165,7 @@ def apply_phase_oracle(
     if not 0 < num_inputs <= state.num_qubits:
         raise ValueError(f"register of {num_inputs} qubits does not fit in {state.num_qubits}")
     values = boolfn.function_values(f, num_inputs)
-    idx = np.arange(state.amplitudes.size)
-    signs = 1.0 - 2.0 * values[idx & ((1 << num_inputs) - 1)]
+    signs = 1.0 - 2.0 * np.tile(values, state.amplitudes.size >> num_inputs)
     return StateVector(state.num_qubits, state.amplitudes * signs)
 
 
@@ -203,13 +202,19 @@ def reduced_density_two_qubits(state: StateVector, a: int, b: int) -> TwoQubitDe
     return TwoQubitDensity(tensor @ tensor.conj().T)
 
 
-def prob_one(state: StateVector, qubit: int) -> float:
-    """Probability of reading 1 on ``qubit``, as ``p1 / (p0 + p1)``: immune to
-    the state's norm rounding (about 1e-15 after a long circuit), in [0, 1]."""
+def qubit_density(state: StateVector, qubit: int) -> np.ndarray:
+    """Reduced 2x2 density of one qubit, ``rho[a, b] = sum_env amp(a, env) *
+    conj(amp(b, env))``, divided by its trace: immune to the state's norm
+    rounding (about 1e-15 after a long circuit)."""
     _check_qubit(state, qubit)
-    pops = np.sum(np.abs(state.amplitudes.reshape(-1, 2, 1 << qubit)) ** 2, axis=(0, 2))
-    p0, p1 = float(pops[0]), float(pops[1])
-    return p1 / (p0 + p1)
+    pairs = state.amplitudes.reshape(-1, 2, 1 << qubit)
+    rho = np.einsum("aib,ajb->ij", pairs, pairs.conj())
+    return rho / rho.trace().real
+
+
+def prob_one(state: StateVector, qubit: int) -> float:
+    """Probability of reading 1 on ``qubit``, in [0, 1]."""
+    return float(qubit_density(state, qubit)[1, 1].real)
 
 
 def sample_counts(state: StateVector, qubit: int, shots: int, seed: int) -> tuple[int, int]:
@@ -228,7 +233,7 @@ def sample_counts(state: StateVector, qubit: int, shots: int, seed: int) -> tupl
 
 class BitOracle:
     """A Boolean black box packaged for both uses the algorithms need:
-    classical point queries and reversible circuit application.
+    classical point queries and the dense ``values`` table circuits apply.
 
     ``applications_per_call`` and ``queries_per_call`` express the cost of one
     use in units of the underlying base oracle; composites override them.
@@ -257,15 +262,12 @@ class BitOracle:
     def query(self, x: int) -> int:
         return boolfn.evaluate(self.func, x)
 
-    def apply(self, state: StateVector, target: int) -> StateVector:
-        return apply_bit_oracle(state, self.values, self.num_inputs, target)
-
 
 class DerivativeOracle(BitOracle):
     """Composite computing ``f(x) XOR f(x XOR e_i)`` from two copies of the
     base oracle; one application costs 2 base applications, one classical
-    query costs 2 base queries.  Simulated as one gather over the derivative's
-    own table, equal to the circuit of :func:`apply_derivative_oracle`."""
+    query costs 2 base queries.  Its ``values`` are one gather over the base
+    table, equal as a bit oracle to :func:`apply_derivative_oracle`."""
 
     applications_per_call = 2
     queries_per_call = 2
@@ -273,10 +275,9 @@ class DerivativeOracle(BitOracle):
     def __init__(self, base: BitOracle, i: int):
         if not 0 <= i < base.num_inputs:
             raise ValueError(f"variable index {i} out of range for n={base.num_inputs}")
+        super().__init__(lambda x: base.query(x) ^ base.query(x ^ (1 << i)), base.num_inputs)
         self.base = base
         self.i = i
-        self.num_inputs = base.num_inputs
-        self._values = None
 
     @property
     def values(self) -> np.ndarray:
@@ -286,9 +287,6 @@ class DerivativeOracle(BitOracle):
             out.setflags(write=False)
             self._values = out
         return self._values
-
-    def query(self, x: int) -> int:
-        return self.base.query(x) ^ self.base.query(x ^ (1 << self.i))
 
 
 def as_oracle(f, num_inputs: int) -> BitOracle:

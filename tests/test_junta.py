@@ -10,7 +10,11 @@ from qjunta import (
     TruthTable,
     Verdict,
     anf_from_truth_table,
+    apply_bit_oracle,
+    apply_cnot,
     apply_hadamard_layer,
+    categorize,
+    concurrence_wootters,
     entangling_probe,
     influence_circuit,
     influence_report,
@@ -18,8 +22,11 @@ from qjunta import (
     junta_variable_test,
     new_state,
     parse_anf,
+    prob_one,
+    reduced_density_two_qubits,
     to_truth_table,
 )
+from qjunta import learner
 from qjunta.boolfn import MAX_TABLE_VARS, function_values
 from qjunta.junta import EPSILON_ZERO
 from helpers import random_anf, random_truth_table
@@ -27,28 +34,78 @@ from helpers import random_anf, random_truth_table
 
 class TestEntanglingProbe:
     def test_superposed_qubit_maximally_entangles(self):
-        state = apply_hadamard_layer(new_state(2, 0b10), [0])
-        result = entangling_probe(state, tested=0, aux=1)
+        state = apply_hadamard_layer(new_state(1, 0), [0])
+        result = entangling_probe(state, tested=0)
         assert result.c_effective == pytest.approx(1.0, abs=1e-12)
         assert result.c_wootters == pytest.approx(1.0, abs=1e-8)
 
     def test_basis_qubit_gives_nothing(self):
-        result = entangling_probe(new_state(2, 0b10), tested=0, aux=1)
+        result = entangling_probe(new_state(1, 0), tested=0)
         assert result.c_effective == 0.0
         assert result.c_wootters == 0.0
         # pair ends in |01> (tested reads 0, auxiliary reads 1)
         np.testing.assert_allclose(result.density.entries, np.diag([0, 1, 0, 0]), atol=1e-12)
 
-    def test_aux_must_be_one(self):
-        with pytest.raises(ValueError):
-            entangling_probe(new_state(2, 0b00), tested=0, aux=1)
-        superposed_aux = apply_hadamard_layer(new_state(2, 0b10), [1])
-        with pytest.raises(ValueError):
-            entangling_probe(superposed_aux, tested=0, aux=1)
+    def test_tested_out_of_range(self):
+        for tested in (-1, 2):
+            with pytest.raises(ValueError):
+                entangling_probe(new_state(2), tested=tested)
 
-    def test_same_qubit_rejected(self):
-        with pytest.raises(ValueError):
-            entangling_probe(new_state(2, 0b10), tested=1, aux=1)
+
+class TestGateLevelReference:
+    """The register-only circuits against the paper's full circuits, built
+    gate by gate with a simulated kickback qubit and auxiliary."""
+
+    @staticmethod
+    def functions():
+        for n in (1, 2, 3):
+            for code in range(1 << (1 << n)):
+                bits = np.array([(code >> x) & 1 for x in range(1 << n)], dtype=np.uint8)
+                yield n, TruthTable(n, bits)
+        rng = np.random.default_rng(41)
+        for n in range(4, 8):
+            for _ in range(6):
+                yield n, random_truth_table(rng, n)
+
+    @staticmethod
+    def assert_same(probe, density, p1):
+        np.testing.assert_allclose(probe.density.entries, density.entries, rtol=0, atol=1e-12)
+        assert probe.p1 == pytest.approx(p1, rel=0, abs=1e-12)
+        assert probe.c_wootters == pytest.approx(concurrence_wootters(density), rel=0, abs=1e-12)
+
+    def test_influence_circuit(self):
+        for n, table in self.functions():
+            state = new_state(n + 2, basis=(1 << n) | (1 << (n + 1)))
+            state = apply_hadamard_layer(state, range(n + 1))
+            state = apply_bit_oracle(state, table, n, target=n)
+            before_probe = apply_hadamard_layer(state, range(n + 1))
+            for i in range(n):
+                after = apply_cnot(before_probe, control=i, target=n + 1)
+                probe = influence_circuit(table, n, i)
+                assert probe.state.num_qubits == n
+                density = reduced_density_two_qubits(after, i, n + 1)
+                self.assert_same(probe, density, prob_one(after, i))
+
+    def test_categorize_circuit(self, monkeypatch):
+        probes = []
+
+        def spy(state, tested):
+            probes.append(entangling_probe(state, tested))
+            return probes[-1]
+
+        monkeypatch.setattr(learner, "entangling_probe", spy)
+        for n, table in self.functions():
+            state = new_state(n + 2, basis=1 << (n + 1))
+            state = apply_hadamard_layer(state, range(n))
+            state = apply_bit_oracle(state, table, n, target=n)
+            state = apply_hadamard_layer(state, range(n))
+            after = apply_cnot(state, control=n, target=n + 1)
+            density = reduced_density_two_qubits(after, n, n + 1)
+            verdict = categorize(table, n)
+            probe = probes.pop()
+            assert probe.state.num_qubits == n + 1
+            assert (verdict.p1, verdict.c_wootters) == (probe.p1, probe.c_wootters)
+            self.assert_same(probe, density, prob_one(after, n))
 
 
 class TestInfluenceCircuit:
@@ -137,7 +194,7 @@ class TestBlackBoxInputs:
             assert len(verdicts) == 1
 
     def test_oversized_black_box_rejected_before_any_work(self):
-        # the message names the caller's n, not the circuit's n + 2 qubits,
+        # the message names the caller's n, not a circuit's qubit count,
         # and the black box is neither queried nor tabulated
         calls = []
 

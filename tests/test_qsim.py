@@ -18,9 +18,11 @@ from qjunta import (
     apply_phase_oracle,
     apply_x,
     derivative,
+    evaluate,
     new_state,
     parse_anf,
     prob_one,
+    qubit_density,
     reduced_density_two_qubits,
     sample_counts,
     to_truth_table,
@@ -53,7 +55,7 @@ class TestNewState:
     def test_basis_states(self):
         assert_state(new_state(2, 0b10), [0, 0, 1, 0])
         assert_state(new_state(1, 1), [0, 1])
-        # the register layout used by the junta circuit at n=1: both extra
+        # the layout of the gate-level junta circuit at n=1: both extra
         # qubits (indices n and n+1) start in |1>
         assert_state(new_state(3, 0b110), [0, 0, 0, 0, 0, 0, 1, 0])
 
@@ -147,7 +149,8 @@ class TestPhaseOracle:
 
     def test_kickback_identity(self):
         # a bit oracle whose target sits in (|0> - |1>)/sqrt(2) acts as the
-        # phase oracle on the register, with the ancilla factor untouched
+        # phase oracle on the register, with the ancilla factor untouched;
+        # so does the phase oracle applied to the register inside the wider state
         rng = np.random.default_rng(6)
         minus = np.array([INV_SQRT2, -INV_SQRT2], dtype=complex)
         for _ in range(200):
@@ -155,11 +158,9 @@ class TestPhaseOracle:
             f = random_anf(rng, n)
             register = random_state(rng, n)
             full = StateVector(n + 1, np.kron(minus, register.amplitudes))
-            via_bit = apply_bit_oracle(full, f, n, target=n)
-            via_phase = apply_phase_oracle(register, f, n)
-            np.testing.assert_allclose(
-                via_bit.amplitudes, np.kron(minus, via_phase.amplitudes), atol=1e-12
-            )
+            via_phase = np.kron(minus, apply_phase_oracle(register, f, n).amplitudes)
+            for out in (apply_bit_oracle(full, f, n, target=n), apply_phase_oracle(full, f, n)):
+                np.testing.assert_allclose(out.amplitudes, via_phase, atol=1e-12)
 
 
 class TestDerivativeOracle:
@@ -229,6 +230,20 @@ class TestReducedDensity:
             TwoQubitDensity(np.eye(4))  # trace 4
         with pytest.raises(ValueError):
             TwoQubitDensity(np.diag([1.5, -0.5, 0, 0]))  # negative eigenvalue
+
+
+class TestQubitDensity:
+    @settings(deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(1, 5))
+    def test_matches_partial_trace_of_pair(self, q, seed, pick, shift):
+        # complex amplitudes, so the conjugated side of rho[0, 1] is pinned
+        state = random_state(np.random.default_rng(seed), q)
+        qubit = pick % q
+        other = (qubit + shift % (q - 1) + 1) % q
+        pair = reduced_density_two_qubits(state, qubit, other).entries.reshape(2, 2, 2, 2)
+        np.testing.assert_allclose(
+            qubit_density(state, qubit), np.einsum("abcb->ac", pair), rtol=0, atol=1e-12
+        )
 
 
 class TestProbOne:
@@ -302,6 +317,11 @@ class TestOracleWrappers:
         assert oracle.queries_per_call == 1
         assert oracle.query(3) == 1
 
+    def test_derivative_wrapper_keeps_its_function(self):
+        deriv = DerivativeOracle(BitOracle(parse_anf("x0&x1 ^ x2", 3), 3), 0)
+        for x in range(8):
+            assert evaluate(deriv.func, x) == deriv.query(x)
+
     def test_derivative_wrapper_matches_composite(self):
         rng = np.random.default_rng(14)
         f = random_anf(rng, 3)
@@ -313,13 +333,10 @@ class TestOracleWrappers:
         for x in range(8):
             assert deriv.query(x) == table.bits[x]
         state = random_state(rng, 4)
+        via_values = apply_bit_oracle(state, deriv.values, 3, 3).amplitudes
         np.testing.assert_allclose(
-            deriv.apply(state, 3).amplitudes,
-            apply_bit_oracle(state, table, 3, 3).amplitudes,
-            atol=1e-12,
+            via_values, apply_bit_oracle(state, table, 3, 3).amplitudes, atol=1e-12
         )
         np.testing.assert_allclose(
-            deriv.apply(state, 3).amplitudes,
-            apply_derivative_oracle(state, f, 3, 1, 3).amplitudes,
-            atol=1e-12,
+            via_values, apply_derivative_oracle(state, f, 3, 1, 3).amplitudes, atol=1e-12
         )
